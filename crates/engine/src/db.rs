@@ -1506,7 +1506,7 @@ impl SpatialDb {
         let mode = self.profile.function_mode();
         let bound: Vec<_> = filters
             .iter()
-            .map(|f| plan::bind_columns(columns.clone(), f))
+            .map(|f| plan::bind_columns(columns.clone(), f, mode))
             .collect::<std::result::Result<_, _>>()?;
 
         let durability = self.durability.read();
@@ -1597,12 +1597,12 @@ impl SpatialDb {
         let mode = self.profile.function_mode();
         let bound_filters: Vec<_> = filters
             .iter()
-            .map(|f| plan::bind_columns(columns.clone(), f))
+            .map(|f| plan::bind_columns(columns.clone(), f, mode))
             .collect::<std::result::Result<_, _>>()?;
         let bound_assignments: Vec<(usize, _)> = assignments
             .iter()
             .map(|(col, e)| {
-                Ok((schema.column_index(col)?, plan::bind_columns(columns.clone(), e)?))
+                Ok((schema.column_index(col)?, plan::bind_columns(columns.clone(), e, mode)?))
             })
             .collect::<crate::Result<_>>()?;
 
@@ -1630,7 +1630,7 @@ impl SpatialDb {
             }
             let mut new_row: Row = row.as_ref().clone();
             for (col, e) in &bound_assignments {
-                new_row[*col] = jackpine_sqlmini::exec::eval(e, &row, mode)?;
+                new_row[*col] = jackpine_sqlmini::exec::eval(e, &row, mode)?.into_owned();
             }
             schema.check_row(&new_row)?;
             victims.push((id, row, new_row));
@@ -1762,10 +1762,7 @@ impl SpatialDb {
                     if bounded {
                         if !tree.has_pager() {
                             let file = pool.register(&leaf_file_name(tname, *col));
-                            tree.attach_pager(Arc::new(PoolLeafPager {
-                                pool: pool.clone(),
-                                file,
-                            }));
+                            tree.attach_pager(Arc::new(PoolLeafPager { pool: pool.clone(), file }));
                         }
                         tree.spill_leaves();
                     } else {
@@ -1854,7 +1851,7 @@ fn eval_const_expr(
     Ok(match e {
         Expr::Literal(v) => v.clone(),
         Expr::Neg(inner) => match eval_const_expr(inner, mode)? {
-            Value::Int(i) => Value::Int(-i),
+            Value::Int(i) => Value::Int(i.wrapping_neg()),
             Value::Float(f) => Value::Float(-f),
             other => {
                 return Err(EngineError::Sql(SqlError::Type(format!("cannot negate {other:?}"))))

@@ -166,6 +166,15 @@ impl<T> Node<T> {
     }
 }
 
+/// One leaf's entries, as decoded from a spilled image.
+type LeafEntries<T> = Vec<(Envelope, T)>;
+
+/// Decodes a spilled leaf image ([`decode_leaf`], monomorphized).
+type LeafDecoder<T> = fn(&[u8]) -> Option<LeafEntries<T>>;
+
+/// Decoded spilled leaves by node id.
+type LeafCache<T> = Mutex<HashMap<usize, Arc<LeafEntries<T>>>>;
+
 /// Read access to one leaf's entries: a borrow when resident, a shared
 /// decoded image when the leaf is spilled.
 enum LeafRef<'a, T> {
@@ -202,10 +211,10 @@ pub struct RTree<T: Clone> {
     spilled: HashSet<usize>,
     /// Decoder captured (monomorphized) at spill time, so query paths
     /// need no `T: LeafPayload` bound.
-    decoder: Option<fn(&[u8]) -> Option<Vec<(Envelope, T)>>>,
+    decoder: Option<LeafDecoder<T>>,
     /// Decoded-leaf cache: warm probes of a spilled leaf cost one
     /// `Arc` clone; the benchmark's cold switch clears it.
-    leaf_cache: Mutex<HashMap<usize, Arc<Vec<(Envelope, T)>>>>,
+    leaf_cache: LeafCache<T>,
 }
 
 impl<T: Clone> Clone for RTree<T> {

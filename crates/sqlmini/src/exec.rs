@@ -16,7 +16,7 @@
 
 use crate::ast::BinOp;
 use crate::batch::{MbrColumn, MbrQuad, DEFAULT_BATCH_SIZE};
-use crate::functions::{self, FunctionMode};
+use crate::functions::FunctionMode;
 use crate::plan::{AggExpr, AggOutput, BoundExpr, PlanNode, PlannedSelect};
 use crate::prepared::PreparedCache;
 use crate::provider::{SnapshotHandle, TableProvider};
@@ -25,6 +25,7 @@ use jackpine_geom::{Envelope, Geometry};
 use jackpine_obs::{EngineMetrics, Stage};
 use jackpine_storage::{Row, Value};
 use jackpine_topo::{PredicateKind, PredicateOutcome, PreparedGeometry};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -270,11 +271,9 @@ impl TupleView for LazyRow {
     }
 }
 
-struct SliceView<'a>(&'a [Value]);
-
-impl TupleView for SliceView<'_> {
+impl TupleView for [Value] {
     fn col(&self, i: usize) -> Option<&Value> {
-        self.0.get(i)
+        self.get(i)
     }
 }
 
@@ -364,10 +363,10 @@ impl ExecCtx {
     /// claimed by scoped worker threads off a shared counter. Morsel
     /// boundaries depend only on morsel size, and outputs are stitched by
     /// morsel index, so results are identical for any worker count.
-    fn parallel_morsels<I, O>(
+    fn parallel_morsels<'a, I, O>(
         &self,
-        items: &[I],
-        f: impl Fn(&[I]) -> Result<Vec<O>> + Sync,
+        items: &'a [I],
+        f: impl Fn(&'a [I]) -> Result<Vec<O>> + Sync,
     ) -> Result<Vec<O>>
     where
         I: Sync,
@@ -379,10 +378,10 @@ impl ExecCtx {
     /// [`parallel_morsels`](Self::parallel_morsels), with the morsel's
     /// global item offset passed to `f` — the vectorized filter uses it
     /// to index pre-gathered MBR columns.
-    fn parallel_morsels_indexed<I, O>(
+    fn parallel_morsels_indexed<'a, I, O>(
         &self,
-        items: &[I],
-        f: impl Fn(usize, &[I]) -> Result<Vec<O>> + Sync,
+        items: &'a [I],
+        f: impl Fn(usize, &'a [I]) -> Result<Vec<O>> + Sync,
     ) -> Result<Vec<O>>
     where
         I: Sync,
@@ -435,29 +434,27 @@ impl ExecCtx {
     /// Recognizes the filter shapes both fast paths (prepared row path
     /// and vectorized batch path) accelerate: a top-level `pred(x, y)`
     /// where `pred` is a named DE-9IM predicate under exact semantics and
-    /// `x`/`y` are geometry columns or constant geometry expressions.
+    /// `x`/`y` are geometry columns or geometry literals (folded constants).
     /// Anything else returns `None` and evaluates generically.
-    fn spatial_shape(&self, predicate: &BoundExpr) -> Option<SpatialShape> {
+    fn spatial_shape<'a>(&self, predicate: &'a BoundExpr) -> Option<SpatialShape<'a>> {
         if self.mode != FunctionMode::Exact {
             return None;
         }
-        let BoundExpr::Func { name, args } = predicate else {
+        let BoundExpr::Func { func, args } = predicate else {
             return None;
         };
-        let kind = PredicateKind::from_sql_name(&name.to_ascii_uppercase())?;
+        let kind = func.predicate_kind()?;
         let [a, b] = args.as_slice() else {
             return None;
         };
-        let operand = |e: &BoundExpr| -> Option<ShapeOperand> {
+        let operand = |e: &'a BoundExpr| -> Option<ShapeOperand<'a>> {
             match e {
                 BoundExpr::Column(i) => Some(ShapeOperand::Column(*i)),
-                // A constant operand that fails to evaluate, or is not a
-                // geometry, is left to the generic path — which raises
-                // the error per row, or not at all over an empty input.
-                e if e.is_constant() => match eval_const(e, FunctionMode::Exact) {
-                    Ok(Value::Geom(g)) => Some(ShapeOperand::Constant(g)),
-                    _ => None,
-                },
+                // Binding folded every constant that evaluates. One that
+                // is left, or is not a geometry, goes to the generic
+                // path — which raises the error per row, or not at all
+                // over an empty input.
+                BoundExpr::Literal(Value::Geom(g)) => Some(ShapeOperand::Constant(g)),
                 _ => None,
             }
         };
@@ -472,7 +469,7 @@ impl ExecCtx {
         let operand = |o: ShapeOperand| match o {
             ShapeOperand::Column(i) => PreparedOperand::Column(i),
             ShapeOperand::Constant(g) => {
-                PreparedOperand::Constant(Arc::new(PreparedGeometry::new(&g)))
+                PreparedOperand::Constant(Arc::new(PreparedGeometry::new(g)))
             }
         };
         Some(PreparedFilter {
@@ -487,17 +484,17 @@ impl ExecCtx {
 
 /// A recognized top-level spatial predicate: `kind(a, b)` over columns
 /// and/or constant geometries.
-struct SpatialShape {
+struct SpatialShape<'a> {
     kind: PredicateKind,
-    a: ShapeOperand,
-    b: ShapeOperand,
+    a: ShapeOperand<'a>,
+    b: ShapeOperand<'a>,
 }
 
-enum ShapeOperand {
+enum ShapeOperand<'a> {
     /// Tuple column offset.
     Column(usize),
-    /// Constant geometry, evaluated once at recognition.
-    Constant(Geometry),
+    /// Constant geometry, a literal of the bound predicate.
+    Constant(&'a Geometry),
 }
 
 /// A refine predicate bound to the prepared fast path: constant operands
@@ -625,7 +622,7 @@ fn run(node: &PlanNode, ctx: &ExecCtx) -> Result<Vec<LazyRow>> {
                         // plain geometry value: the generic evaluator
                         // decides, reproducing exact errors and NULL
                         // semantics.
-                        None => truthy(&eval_view(predicate, row, mode)?),
+                        None => truthy(&*eval_view(predicate, row, mode)?),
                     };
                     if keep {
                         out.push(row.clone());
@@ -698,7 +695,7 @@ fn run(node: &PlanNode, ctx: &ExecCtx) -> Result<Vec<LazyRow>> {
                 for row in chunk {
                     let mut projected = Vec::with_capacity(exprs.len());
                     for (e, _) in exprs {
-                        projected.push(eval_view(e, row, mode)?);
+                        projected.push(eval_view(e, row, mode)?.into_owned());
                     }
                     out.push(LazyRow::Owned(projected));
                 }
@@ -727,7 +724,7 @@ fn run(node: &PlanNode, ctx: &ExecCtx) -> Result<Vec<LazyRow>> {
                 for row in chunk {
                     let mut key = Vec::with_capacity(group_by.len());
                     for g in group_by {
-                        key.push(eval_view(g, row, mode)?);
+                        key.push(eval_view(g, row, mode)?.into_owned());
                     }
                     out.push(key);
                 }
@@ -781,8 +778,9 @@ fn run(node: &PlanNode, ctx: &ExecCtx) -> Result<Vec<LazyRow>> {
         }
         PlanNode::Sort { input, keys } => {
             let rows = run(input, ctx)?;
-            // Precompute key tuples morsel-parallel, then sort by them.
-            let key_tuples: Vec<Vec<Value>> = ctx.parallel_morsels(&rows, |chunk| {
+            // Precompute key tuples morsel-parallel, then sort row
+            // positions by them. Column keys borrow from the rows.
+            let key_tuples: Vec<Vec<Cow<'_, Value>>> = ctx.parallel_morsels(&rows, |chunk| {
                 let mut out = Vec::with_capacity(chunk.len());
                 for row in chunk {
                     let mut kt = Vec::with_capacity(keys.len());
@@ -793,10 +791,10 @@ fn run(node: &PlanNode, ctx: &ExecCtx) -> Result<Vec<LazyRow>> {
                 }
                 Ok(out)
             })?;
-            let mut keyed: Vec<(Vec<Value>, LazyRow)> = key_tuples.into_iter().zip(rows).collect();
-            keyed.sort_by(|(ka, _), (kb, _)| {
+            let mut order: Vec<usize> = (0..rows.len()).collect();
+            order.sort_by(|&a, &b| {
                 for (i, (_, asc)) in keys.iter().enumerate() {
-                    let ord = compare_values(&ka[i], &kb[i]);
+                    let ord = compare_values(&key_tuples[a][i], &key_tuples[b][i]);
                     let ord = if *asc { ord } else { ord.reverse() };
                     if ord != std::cmp::Ordering::Equal {
                         return ord;
@@ -804,7 +802,9 @@ fn run(node: &PlanNode, ctx: &ExecCtx) -> Result<Vec<LazyRow>> {
                 }
                 std::cmp::Ordering::Equal
             });
-            Ok(keyed.into_iter().map(|(_, r)| r).collect())
+            drop(key_tuples);
+            let mut rows: Vec<Option<LazyRow>> = rows.into_iter().map(Some).collect();
+            Ok(order.into_iter().map(|i| rows[i].take().expect("a permutation")).collect())
         }
         PlanNode::Limit { input, n } => {
             let mut rows = run(input, ctx)?;
@@ -1002,7 +1002,7 @@ fn gather_column(
 fn vectorized_filter(
     input: &PlanNode,
     predicate: &BoundExpr,
-    shape: SpatialShape,
+    shape: SpatialShape<'_>,
     ctx: &ExecCtx,
 ) -> Result<Vec<LazyRow>> {
     // Filters sitting directly on a base-table scan expose their row
@@ -1040,8 +1040,8 @@ fn vectorized_filter(
             },
             ShapeOperand::Constant(g) => VecOperand {
                 col: None,
-                const_quad: Some(quad_of(&g)),
-                const_prepared: ctx.prepared.is_some().then(|| Arc::new(PreparedGeometry::new(&g))),
+                const_quad: Some(quad_of(g)),
+                const_prepared: ctx.prepared.is_some().then(|| Arc::new(PreparedGeometry::new(g))),
                 pregathered: None,
             },
         }
@@ -1129,14 +1129,14 @@ fn vectorized_filter(
                                 short_circuits += u64::from(outcome.short_circuit);
                                 outcome.value
                             }
-                            _ => truthy(&eval_view(predicate, row, mode)?),
+                            _ => truthy(&*eval_view(predicate, row, mode)?),
                         }
                     }
                     // No cache (the `--prepared off` ablation) or a
                     // non-geometry operand: the generic evaluator
                     // decides, reproducing exact naive errors and NULL
                     // semantics.
-                    _ => truthy(&eval_view(predicate, row, mode)?),
+                    _ => truthy(&*eval_view(predicate, row, mode)?),
                 };
             }
             if let Some(t1) = t1 {
@@ -1219,55 +1219,53 @@ pub fn compare_values(a: &Value, b: &Value) -> std::cmp::Ordering {
 }
 
 /// Evaluates a bound expression over a materialized tuple.
-pub fn eval(e: &BoundExpr, row: &[Value], mode: FunctionMode) -> Result<Value> {
-    eval_view(e, &SliceView(row), mode)
+pub fn eval<'a>(e: &'a BoundExpr, row: &'a [Value], mode: FunctionMode) -> Result<Cow<'a, Value>> {
+    eval_view(e, row, mode)
 }
 
 /// Evaluates a constant expression (no column references).
-fn eval_const(e: &BoundExpr, mode: FunctionMode) -> Result<Value> {
-    eval_view(e, &SliceView(&[]), mode)
+pub(crate) fn eval_const(e: &BoundExpr, mode: FunctionMode) -> Result<Cow<'_, Value>> {
+    eval_view(e, &[][..], mode)
 }
 
 /// Evaluates a bound expression over any tuple view (materialized slice
 /// or late-materialized [`LazyRow`]).
-pub fn eval_view(e: &BoundExpr, row: &dyn TupleView, mode: FunctionMode) -> Result<Value> {
-    Ok(match e {
-        BoundExpr::Literal(v) => v.clone(),
-        BoundExpr::Column(i) => row
-            .col(*i)
-            .cloned()
-            .ok_or_else(|| SqlError::Type(format!("column offset {i} out of range")))?,
-        BoundExpr::Func { name, args } => {
-            let mut vals = Vec::with_capacity(args.len());
-            for a in args {
-                vals.push(eval_view(a, row, mode)?);
-            }
-            functions::call(mode, name, &vals)?
+///
+/// The result borrows when it can: a literal borrows from the
+/// expression and a column from the row, and function arguments reach
+/// the function the same way. A caller copies a value only when it
+/// keeps it — a projected column, a GROUP BY key, a MIN/MAX winner.
+pub fn eval_view<'a, V: TupleView + ?Sized>(
+    e: &'a BoundExpr,
+    row: &'a V,
+    mode: FunctionMode,
+) -> Result<Cow<'a, Value>> {
+    let v = match e {
+        BoundExpr::Literal(v) => return Ok(Cow::Borrowed(v)),
+        BoundExpr::Column(i) => {
+            return row
+                .col(*i)
+                .map(Cow::Borrowed)
+                .ok_or_else(|| SqlError::Type(format!("column offset {i} out of range")))
         }
+        BoundExpr::Func { func, args } => with_args(args, row, mode, |vals| func.call(mode, vals))?,
         BoundExpr::Binary { op, left, right } => {
             let l = eval_view(left, row, mode)?;
-            // Short-circuit logic.
+            // AND and OR short-circuit: `right` runs only when it decides.
             match op {
                 BinOp::And => {
-                    if !truthy(&l) {
-                        return Ok(Value::Int(0));
-                    }
-                    return Ok(Value::Int(i64::from(truthy(&eval_view(right, row, mode)?))));
+                    Value::Int(i64::from(truthy(&l) && truthy(&*eval_view(right, row, mode)?)))
                 }
                 BinOp::Or => {
-                    if truthy(&l) {
-                        return Ok(Value::Int(1));
-                    }
-                    return Ok(Value::Int(i64::from(truthy(&eval_view(right, row, mode)?))));
+                    Value::Int(i64::from(truthy(&l) || truthy(&*eval_view(right, row, mode)?)))
                 }
-                _ => {}
+                _ => eval_binary(*op, &l, &*eval_view(right, row, mode)?)?,
             }
-            let r = eval_view(right, row, mode)?;
-            eval_binary(*op, &l, &r)?
         }
-        BoundExpr::Not(inner) => Value::Int(i64::from(!truthy(&eval_view(inner, row, mode)?))),
-        BoundExpr::Neg(inner) => match eval_view(inner, row, mode)? {
-            Value::Int(i) => Value::Int(-i),
+        BoundExpr::Not(inner) => Value::Int(i64::from(!truthy(&*eval_view(inner, row, mode)?))),
+        BoundExpr::Neg(inner) => match &*eval_view(inner, row, mode)? {
+            // Wraps like `arith`'s `+ - *`: -i64::MIN is i64::MIN.
+            Value::Int(i) => Value::Int(i.wrapping_neg()),
             Value::Float(f) => Value::Float(-f),
             Value::Null => Value::Null,
             other => return Err(SqlError::Type(format!("cannot negate {other:?}"))),
@@ -1288,7 +1286,35 @@ pub fn eval_view(e: &BoundExpr, row: &dyn TupleView, mode: FunctionMode) -> Resu
             let v = eval_view(expr, row, mode)?;
             Value::Int(i64::from(v.is_null() != *negated))
         }
-    })
+    };
+    Ok(Cow::Owned(v))
+}
+
+/// Arguments up to this count are evaluated into a stack array; no
+/// builtin takes more.
+const INLINE_ARGS: usize = 4;
+
+/// Filler for unused inline argument slots.
+static NULL: Value = Value::Null;
+
+/// Evaluates `args` over `row` and hands them to `f` as one slice, each
+/// borrowed where [`eval_view`] borrows. A call with at most
+/// [`INLINE_ARGS`] arguments allocates nothing.
+fn with_args<'a, V: TupleView + ?Sized, T>(
+    args: &'a [BoundExpr],
+    row: &'a V,
+    mode: FunctionMode,
+    f: impl FnOnce(&[Cow<'a, Value>]) -> Result<T>,
+) -> Result<T> {
+    if args.len() > INLINE_ARGS {
+        let vals = args.iter().map(|a| eval_view(a, row, mode)).collect::<Result<Vec<_>>>()?;
+        return f(&vals);
+    }
+    let mut vals: [Cow<'a, Value>; INLINE_ARGS] = std::array::from_fn(|_| Cow::Borrowed(&NULL));
+    for (slot, a) in vals.iter_mut().zip(args) {
+        *slot = eval_view(a, row, mode)?;
+    }
+    f(&vals[..args.len()])
 }
 
 fn eval_binary(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
@@ -1366,26 +1392,31 @@ fn arith(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
 /// morsel-parallel, then folded serially **in row order**, so float sums
 /// are bit-identical to the single-threaded result.
 fn eval_aggregate(agg: &AggExpr, rows: &[LazyRow], ctx: &ExecCtx) -> Result<Value> {
-    let mode = ctx.mode;
-    let arg_values = |e: &BoundExpr| -> Result<Vec<Value>> {
-        ctx.parallel_morsels(rows, |chunk| {
-            let mut out = Vec::with_capacity(chunk.len());
-            for row in chunk {
-                out.push(eval_view(e, row, mode)?);
-            }
-            Ok(out)
-        })
-    };
     match agg {
         AggExpr::CountStar => Ok(Value::Int(rows.len() as i64)),
         AggExpr::Count(e) => {
-            Ok(Value::Int(arg_values(e)?.iter().filter(|v| !v.is_null()).count() as i64))
+            Ok(Value::Int(arg_values(e, rows, ctx)?.iter().filter(|v| !v.is_null()).count() as i64))
         }
         AggExpr::Sum(e) | AggExpr::Avg(e) => {
-            fold_sum(agg, arg_values(e)?.iter().map(|v| v.as_f64()))
+            fold_sum(agg, arg_values(e, rows, ctx)?.iter().map(|v| v.as_f64()))
         }
-        AggExpr::Min(e) | AggExpr::Max(e) => fold_minmax(agg, arg_values(e)?.into_iter()),
+        AggExpr::Min(e) | AggExpr::Max(e) => fold_minmax(agg, arg_values(e, rows, ctx)?),
     }
+}
+
+/// An aggregate's argument over every row, morsel-parallel, in row order.
+fn arg_values<'a>(
+    e: &'a BoundExpr,
+    rows: &'a [LazyRow],
+    ctx: &ExecCtx,
+) -> Result<Vec<Cow<'a, Value>>> {
+    ctx.parallel_morsels(rows, |chunk| {
+        let mut out = Vec::with_capacity(chunk.len());
+        for row in chunk {
+            out.push(eval_view(e, row, ctx.mode)?);
+        }
+        Ok(out)
+    })
 }
 
 /// Grouped aggregate over one `keyed[i..j]` run: rows are aggregated in
@@ -1418,7 +1449,7 @@ fn eval_aggregate_slice(
             for (_, row) in group {
                 vals.push(eval_view(e, row, mode)?);
             }
-            fold_minmax(agg, vals.into_iter())
+            fold_minmax(agg, vals)
         }
     }
 }
@@ -1440,9 +1471,10 @@ fn fold_sum(agg: &AggExpr, values: impl Iterator<Item = Option<f64>>) -> Result<
     })
 }
 
-/// Serial in-order MIN/MAX fold over pre-evaluated argument values.
-fn fold_minmax(agg: &AggExpr, values: impl Iterator<Item = Value>) -> Result<Value> {
-    let mut best: Option<Value> = None;
+/// Serial in-order MIN/MAX fold over pre-evaluated argument values;
+/// only the winner is copied.
+fn fold_minmax(agg: &AggExpr, values: Vec<Cow<'_, Value>>) -> Result<Value> {
+    let mut best: Option<Cow<'_, Value>> = None;
     for v in values {
         if v.is_null() {
             continue;
@@ -1462,7 +1494,7 @@ fn fold_minmax(agg: &AggExpr, values: impl Iterator<Item = Value>) -> Result<Val
             }
         });
     }
-    Ok(best.unwrap_or(Value::Null))
+    Ok(best.map_or(Value::Null, Cow::into_owned))
 }
 
 #[cfg(test)]
@@ -1506,13 +1538,44 @@ mod tests {
     fn is_null_logic() {
         let e =
             BoundExpr::IsNull { expr: Box::new(BoundExpr::Literal(Value::Null)), negated: false };
-        assert_eq!(eval(&e, &[], FunctionMode::Exact).unwrap(), Value::Int(1));
+        assert_eq!(*eval(&e, &[], FunctionMode::Exact).unwrap(), Value::Int(1));
         let e =
             BoundExpr::IsNull { expr: Box::new(BoundExpr::Literal(Value::Int(5))), negated: true };
-        assert_eq!(eval(&e, &[], FunctionMode::Exact).unwrap(), Value::Int(1));
+        assert_eq!(*eval(&e, &[], FunctionMode::Exact).unwrap(), Value::Int(1));
         let e =
             BoundExpr::IsNull { expr: Box::new(BoundExpr::Literal(Value::Int(5))), negated: false };
-        assert_eq!(eval(&e, &[], FunctionMode::Exact).unwrap(), Value::Int(0));
+        assert_eq!(*eval(&e, &[], FunctionMode::Exact).unwrap(), Value::Int(0));
+    }
+
+    #[test]
+    fn column_operands_reach_functions_by_reference() {
+        let g =
+            Value::Geom(jackpine_geom::wkt::parse("POLYGON ((0 0, 4 0, 4 4, 0 4, 0 0))").unwrap());
+        let row = vec![Value::Int(7), g];
+        let args =
+            [BoundExpr::Column(1), BoundExpr::Literal(Value::Float(2.5)), BoundExpr::Column(0)];
+        with_args(&args, row.as_slice(), FunctionMode::Exact, |vals| {
+            assert_eq!(vals.len(), 3);
+            assert!(std::ptr::eq(&*vals[0], &row[1]), "column 1 was copied");
+            assert!(std::ptr::eq(&*vals[2], &row[0]), "column 0 was copied");
+            let BoundExpr::Literal(lit) = &args[1] else { unreachable!() };
+            assert!(std::ptr::eq(&*vals[1], lit), "literal was copied");
+            Ok(())
+        })
+        .unwrap();
+        // The same over a late-materialized row handle.
+        let lazy = LazyRow::one(Arc::new(row));
+        let v = eval_view(&BoundExpr::Column(1), &lazy, FunctionMode::Exact).unwrap();
+        assert!(std::ptr::eq(&*v, lazy.col(1).unwrap()));
+        // A call's own result is owned.
+        let area = BoundExpr::Func {
+            func: crate::functions::Function::resolve("st_area"),
+            args: vec![BoundExpr::Column(1)],
+        };
+        assert_eq!(
+            eval_view(&area, &lazy, FunctionMode::Exact).unwrap().into_owned(),
+            Value::Float(16.0)
+        );
     }
 
     #[test]

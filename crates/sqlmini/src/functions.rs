@@ -9,12 +9,18 @@
 //!   (buffer, overlay, hull, simplify) *unavailable* — the behaviour of
 //!   MySQL's spatial support at the time of the paper, and the source of
 //!   its feature-matrix gaps.
+//!
+//! A function name is resolved once, when its expression is bound
+//! ([`Function::resolve`]); evaluation then dispatches on the resolved
+//! builtin and takes its arguments by reference, so a call per row
+//! neither re-reads the name nor copies an operand.
 
 use crate::{Result, SqlError};
 use jackpine_geom::algorithms as alg;
 use jackpine_geom::{wkt, Envelope, Geometry, GeometryCollection, LineString, Point, Polygon};
 use jackpine_storage::Value;
-use jackpine_topo as topo;
+use jackpine_topo::{self as topo, PredicateKind};
+use std::borrow::Cow;
 
 /// Spatial evaluation mode of an engine profile.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -67,11 +73,8 @@ pub const TOPO_PREDICATES: [&str; 10] = [
 impl FunctionMode {
     /// Whether a function name is available in this mode.
     pub fn supports(self, name: &str) -> bool {
-        let upper = name.to_ascii_uppercase();
-        match self {
-            FunctionMode::Exact => true,
-            FunctionMode::MbrOnly => !MBR_ONLY_MISSING.contains(&upper.as_str()),
-        }
+        self == FunctionMode::Exact
+            || !MBR_ONLY_MISSING.iter().any(|m| m.eq_ignore_ascii_case(name))
     }
 }
 
@@ -85,300 +88,479 @@ pub fn is_indexable_predicate(name: &str) -> bool {
         || upper.starts_with("MBR") && upper != "MBRDISJOINT"
 }
 
-/// Evaluates a (non-aggregate) function call on already-computed argument
-/// values.
-pub fn call(mode: FunctionMode, name: &str, args: &[Value]) -> Result<Value> {
-    let upper = name.to_ascii_uppercase();
-    if !mode.supports(&upper) {
-        return Err(SqlError::UnsupportedFeature(name.to_string()));
+/// One builtin of the registry; aliases share a builtin.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Builtin {
+    GeomFromText,
+    AsText,
+    MakePoint,
+    MakeEnvelope,
+    X,
+    Y,
+    Area,
+    Length,
+    Dimension,
+    NumPoints,
+    GeometryType,
+    Envelope,
+    Boundary,
+    Centroid,
+    Buffer,
+    ConvexHull,
+    Simplify,
+    Union,
+    Intersection,
+    Difference,
+    IsEmpty,
+    IsClosed,
+    StartPoint,
+    EndPoint,
+    NumGeometries,
+    GeometryN,
+    PointOnSurface,
+    AsBinary,
+    GeomFromWkb,
+    Translate,
+    Scale,
+    Rotate,
+    DistanceSphere,
+    LengthSphere,
+    AreaSphere,
+    Distance,
+    DWithin,
+    /// A named DE-9IM predicate; its semantics follow the mode.
+    Topo(PredicateKind),
+    Relate,
+    /// An explicit MBR predicate, available in every mode.
+    Mbr(PredicateKind),
+    Abs,
+    Upper,
+    Lower,
+    CharLength,
+}
+
+/// Every function name the registry knows, upper-cased.
+const REGISTRY: &[(&str, Builtin)] = &[
+    ("ST_GEOMFROMTEXT", Builtin::GeomFromText),
+    ("ST_ASTEXT", Builtin::AsText),
+    ("ST_POINT", Builtin::MakePoint),
+    ("ST_MAKEPOINT", Builtin::MakePoint),
+    ("ST_MAKEENVELOPE", Builtin::MakeEnvelope),
+    ("ST_X", Builtin::X),
+    ("ST_Y", Builtin::Y),
+    ("ST_AREA", Builtin::Area),
+    ("ST_LENGTH", Builtin::Length),
+    ("ST_PERIMETER", Builtin::Length),
+    ("ST_DIMENSION", Builtin::Dimension),
+    ("ST_NUMPOINTS", Builtin::NumPoints),
+    ("ST_NPOINTS", Builtin::NumPoints),
+    ("ST_GEOMETRYTYPE", Builtin::GeometryType),
+    ("ST_ENVELOPE", Builtin::Envelope),
+    ("ST_BOUNDARY", Builtin::Boundary),
+    ("ST_CENTROID", Builtin::Centroid),
+    ("ST_BUFFER", Builtin::Buffer),
+    ("ST_CONVEXHULL", Builtin::ConvexHull),
+    ("ST_SIMPLIFY", Builtin::Simplify),
+    ("ST_UNION", Builtin::Union),
+    ("ST_INTERSECTION", Builtin::Intersection),
+    ("ST_DIFFERENCE", Builtin::Difference),
+    ("ST_ISEMPTY", Builtin::IsEmpty),
+    ("ST_ISCLOSED", Builtin::IsClosed),
+    ("ST_STARTPOINT", Builtin::StartPoint),
+    ("ST_ENDPOINT", Builtin::EndPoint),
+    ("ST_NUMGEOMETRIES", Builtin::NumGeometries),
+    ("ST_GEOMETRYN", Builtin::GeometryN),
+    ("ST_POINTONSURFACE", Builtin::PointOnSurface),
+    ("ST_ASBINARY", Builtin::AsBinary),
+    ("ST_GEOMFROMWKB", Builtin::GeomFromWkb),
+    ("ST_TRANSLATE", Builtin::Translate),
+    ("ST_SCALE", Builtin::Scale),
+    ("ST_ROTATE", Builtin::Rotate),
+    ("ST_DISTANCESPHERE", Builtin::DistanceSphere),
+    ("ST_LENGTHSPHERE", Builtin::LengthSphere),
+    ("ST_AREASPHERE", Builtin::AreaSphere),
+    ("ST_DISTANCE", Builtin::Distance),
+    ("ST_DWITHIN", Builtin::DWithin),
+    ("ST_EQUALS", Builtin::Topo(PredicateKind::Equals)),
+    ("ST_DISJOINT", Builtin::Topo(PredicateKind::Disjoint)),
+    ("ST_INTERSECTS", Builtin::Topo(PredicateKind::Intersects)),
+    ("ST_TOUCHES", Builtin::Topo(PredicateKind::Touches)),
+    ("ST_CROSSES", Builtin::Topo(PredicateKind::Crosses)),
+    ("ST_WITHIN", Builtin::Topo(PredicateKind::Within)),
+    ("ST_CONTAINS", Builtin::Topo(PredicateKind::Contains)),
+    ("ST_OVERLAPS", Builtin::Topo(PredicateKind::Overlaps)),
+    ("ST_COVERS", Builtin::Topo(PredicateKind::Covers)),
+    ("ST_COVEREDBY", Builtin::Topo(PredicateKind::CoveredBy)),
+    ("ST_RELATE", Builtin::Relate),
+    ("MBRINTERSECTS", Builtin::Mbr(PredicateKind::Intersects)),
+    ("MBRCONTAINS", Builtin::Mbr(PredicateKind::Contains)),
+    ("MBRWITHIN", Builtin::Mbr(PredicateKind::Within)),
+    ("MBREQUALS", Builtin::Mbr(PredicateKind::Equals)),
+    ("MBRDISJOINT", Builtin::Mbr(PredicateKind::Disjoint)),
+    ("MBROVERLAPS", Builtin::Mbr(PredicateKind::Overlaps)),
+    ("MBRTOUCHES", Builtin::Mbr(PredicateKind::Touches)),
+    ("ABS", Builtin::Abs),
+    ("UPPER", Builtin::Upper),
+    ("LOWER", Builtin::Lower),
+    ("CHAR_LENGTH", Builtin::CharLength),
+];
+
+/// A function name resolved against the registry. Resolution never
+/// fails: an unknown name, or one the engine profile lacks, reports its
+/// error when the call is evaluated, so a statement whose input is empty
+/// still succeeds.
+#[derive(Clone, Debug)]
+pub struct Function {
+    /// The name as written, for error messages.
+    name: String,
+    /// The registry entry, `None` for an unknown name.
+    resolved: Option<Resolved>,
+}
+
+#[derive(Clone, Copy, Debug)]
+struct Resolved {
+    /// The upper-cased registry name, for argument error messages.
+    upper: &'static str,
+    builtin: Builtin,
+    /// Whether the MBR-only profile has the function.
+    in_mbr_only: bool,
+}
+
+impl Function {
+    /// Looks `name` up in the registry, ignoring ASCII case.
+    pub fn resolve(name: &str) -> Function {
+        let resolved =
+            REGISTRY.iter().find(|(n, _)| n.eq_ignore_ascii_case(name)).map(|&(n, b)| Resolved {
+                upper: n,
+                builtin: b,
+                in_mbr_only: FunctionMode::MbrOnly.supports(n),
+            });
+        Function { name: name.to_string(), resolved }
     }
-    match upper.as_str() {
-        // ----- constructors ------------------------------------------------
-        "ST_GEOMFROMTEXT" => {
-            let s = text_arg(&upper, args, 0)?;
-            Ok(Value::Geom(wkt::parse(s)?))
-        }
-        "ST_ASTEXT" => Ok(Value::Text(wkt::write(geom_arg(&upper, args, 0)?))),
-        "ST_POINT" | "ST_MAKEPOINT" => {
-            let x = num_arg(&upper, args, 0)?;
-            let y = num_arg(&upper, args, 1)?;
-            Ok(Value::Geom(Geometry::Point(Point::new(x, y)?)))
-        }
-        "ST_MAKEENVELOPE" => {
-            let e = Envelope::new(
-                num_arg(&upper, args, 0)?,
-                num_arg(&upper, args, 1)?,
-                num_arg(&upper, args, 2)?,
-                num_arg(&upper, args, 3)?,
-            );
-            Ok(Value::Geom(envelope_geometry(&e)))
-        }
 
-        // ----- accessors / measures ---------------------------------------
-        "ST_X" => point_component(&upper, args, |c| c.x),
-        "ST_Y" => point_component(&upper, args, |c| c.y),
-        "ST_AREA" => Ok(Value::Float(alg::area(geom_arg(&upper, args, 0)?))),
-        "ST_LENGTH" | "ST_PERIMETER" => Ok(Value::Float(alg::length(geom_arg(&upper, args, 0)?))),
-        "ST_DIMENSION" => Ok(Value::Int(geom_arg(&upper, args, 0)?.dimension().as_i32() as i64)),
-        "ST_NUMPOINTS" | "ST_NPOINTS" => {
-            Ok(Value::Int(geom_arg(&upper, args, 0)?.num_coords() as i64))
+    /// The DE-9IM predicate a named topological function (`ST_Intersects`,
+    /// …) tests; `None` for every other function, the `MBR*` ones included.
+    pub fn predicate_kind(&self) -> Option<PredicateKind> {
+        match self.resolved?.builtin {
+            Builtin::Topo(kind) => Some(kind),
+            _ => None,
         }
-        "ST_GEOMETRYTYPE" => Ok(Value::Text(format!(
-            "ST_{}",
-            geom_arg(&upper, args, 0)?.geometry_type().wkt_keyword()
-        ))),
-        "ST_ENVELOPE" => Ok(Value::Geom(envelope_geometry(&geom_arg(&upper, args, 0)?.envelope()))),
-        "ST_BOUNDARY" => Ok(Value::Geom(geom_arg(&upper, args, 0)?.boundary())),
-        "ST_CENTROID" => {
-            let g = geom_arg(&upper, args, 0)?;
-            Ok(match alg::centroid(g) {
-                Some(c) => Value::Geom(Geometry::Point(Point::from_coord(c)?)),
-                None => Value::Geom(Geometry::GeometryCollection(GeometryCollection(vec![]))),
-            })
-        }
+    }
 
-        // ----- constructive -------------------------------------------------
-        "ST_BUFFER" => {
-            let g = geom_arg(&upper, args, 0)?;
-            let d = num_arg(&upper, args, 1)?;
-            let quad = match args.get(2) {
-                Some(v) => {
-                    v.as_f64().ok_or_else(|| SqlError::Type("quad_segs must be numeric".into()))?
-                        as usize
-                }
-                None => alg::buffer::DEFAULT_QUAD_SEGS,
-            };
-            Ok(Value::Geom(alg::buffer::buffer_with_segments(g, d, quad)?))
-        }
-        "ST_CONVEXHULL" => Ok(Value::Geom(alg::convex_hull(geom_arg(&upper, args, 0)?)?)),
-        "ST_SIMPLIFY" => {
-            Ok(Value::Geom(alg::simplify(geom_arg(&upper, args, 0)?, num_arg(&upper, args, 1)?)?))
-        }
-        "ST_UNION" => {
-            Ok(Value::Geom(alg::union(geom_arg(&upper, args, 0)?, geom_arg(&upper, args, 1)?)?))
-        }
-        "ST_INTERSECTION" => Ok(Value::Geom(alg::intersection(
-            geom_arg(&upper, args, 0)?,
-            geom_arg(&upper, args, 1)?,
-        )?)),
-        "ST_DIFFERENCE" => Ok(Value::Geom(alg::difference(
-            geom_arg(&upper, args, 0)?,
-            geom_arg(&upper, args, 1)?,
-        )?)),
-
-        // ----- accessors (structural) -----------------------------------------
-        "ST_ISEMPTY" => Ok(bool_value(geom_arg(&upper, args, 0)?.is_empty())),
-        "ST_ISCLOSED" => match geom_arg(&upper, args, 0)? {
-            Geometry::LineString(l) => Ok(bool_value(l.is_closed())),
-            Geometry::MultiLineString(m) => {
-                Ok(bool_value(!m.0.is_empty() && m.0.iter().all(LineString::is_closed)))
+    /// Evaluates the call on already-computed argument values.
+    pub fn call(&self, mode: FunctionMode, args: &[Cow<'_, Value>]) -> Result<Value> {
+        match self.resolved {
+            None => Err(SqlError::Unresolved(format!("function {}", self.name))),
+            Some(r) if mode == FunctionMode::MbrOnly && !r.in_mbr_only => {
+                Err(SqlError::UnsupportedFeature(self.name.clone()))
             }
-            _ => Err(SqlError::Type(format!("{upper}: argument must be a line"))),
-        },
-        "ST_STARTPOINT" | "ST_ENDPOINT" => match geom_arg(&upper, args, 0)? {
-            Geometry::LineString(l) => {
-                let c = if upper == "ST_STARTPOINT" { l.start() } else { l.end() };
-                Ok(match c {
+            Some(r) => r.builtin.eval(mode, r.upper, args),
+        }
+    }
+}
+
+/// Evaluates a (non-aggregate) function call on already-computed argument
+/// values, resolving `name` first. Expressions resolve once at bind time
+/// instead; this is for one-off calls.
+pub fn call(mode: FunctionMode, name: &str, args: &[Value]) -> Result<Value> {
+    let args: Vec<Cow<'_, Value>> = args.iter().map(Cow::Borrowed).collect();
+    Function::resolve(name).call(mode, &args)
+}
+
+impl Builtin {
+    /// The function body; `upper` names the function in argument errors.
+    fn eval(self, mode: FunctionMode, upper: &str, args: &[Cow<'_, Value>]) -> Result<Value> {
+        match self {
+            // ----- constructors ------------------------------------------------
+            Builtin::GeomFromText => {
+                let s = text_arg(upper, args, 0)?;
+                Ok(Value::Geom(wkt::parse(s)?))
+            }
+            Builtin::AsText => Ok(Value::Text(wkt::write(geom_arg(upper, args, 0)?))),
+            Builtin::MakePoint => {
+                let x = num_arg(upper, args, 0)?;
+                let y = num_arg(upper, args, 1)?;
+                Ok(Value::Geom(Geometry::Point(Point::new(x, y)?)))
+            }
+            Builtin::MakeEnvelope => {
+                let e = Envelope::new(
+                    num_arg(upper, args, 0)?,
+                    num_arg(upper, args, 1)?,
+                    num_arg(upper, args, 2)?,
+                    num_arg(upper, args, 3)?,
+                );
+                Ok(Value::Geom(envelope_geometry(&e)))
+            }
+
+            // ----- accessors / measures ---------------------------------------
+            Builtin::X => point_component(upper, args, |c| c.x),
+            Builtin::Y => point_component(upper, args, |c| c.y),
+            Builtin::Area => Ok(Value::Float(alg::area(geom_arg(upper, args, 0)?))),
+            Builtin::Length => Ok(Value::Float(alg::length(geom_arg(upper, args, 0)?))),
+            Builtin::Dimension => {
+                Ok(Value::Int(geom_arg(upper, args, 0)?.dimension().as_i32() as i64))
+            }
+            Builtin::NumPoints => Ok(Value::Int(geom_arg(upper, args, 0)?.num_coords() as i64)),
+            Builtin::GeometryType => Ok(Value::Text(format!(
+                "ST_{}",
+                geom_arg(upper, args, 0)?.geometry_type().wkt_keyword()
+            ))),
+            Builtin::Envelope => {
+                Ok(Value::Geom(envelope_geometry(&geom_arg(upper, args, 0)?.envelope())))
+            }
+            Builtin::Boundary => Ok(Value::Geom(geom_arg(upper, args, 0)?.boundary())),
+            Builtin::Centroid => {
+                let g = geom_arg(upper, args, 0)?;
+                Ok(match alg::centroid(g) {
                     Some(c) => Value::Geom(Geometry::Point(Point::from_coord(c)?)),
-                    None => Value::Null,
+                    None => Value::Geom(Geometry::GeometryCollection(GeometryCollection(vec![]))),
                 })
             }
-            _ => Err(SqlError::Type(format!("{upper}: argument must be a linestring"))),
-        },
-        "ST_NUMGEOMETRIES" => {
-            let n = match geom_arg(&upper, args, 0)? {
-                Geometry::MultiPoint(m) => m.0.len(),
-                Geometry::MultiLineString(m) => m.0.len(),
-                Geometry::MultiPolygon(m) => m.0.len(),
-                Geometry::GeometryCollection(c) => c.0.len(),
-                _ => 1,
-            };
-            Ok(Value::Int(n as i64))
-        }
-        "ST_GEOMETRYN" => {
-            let n = num_arg(&upper, args, 1)? as usize;
-            if n < 1 {
-                return Err(SqlError::Type("ST_GeometryN index starts at 1".into()));
+
+            // ----- constructive -------------------------------------------------
+            Builtin::Buffer => {
+                let g = geom_arg(upper, args, 0)?;
+                let d = num_arg(upper, args, 1)?;
+                let quad = match args.get(2) {
+                    Some(v) => v
+                        .as_f64()
+                        .ok_or_else(|| SqlError::Type("quad_segs must be numeric".into()))?
+                        as usize,
+                    None => alg::buffer::DEFAULT_QUAD_SEGS,
+                };
+                Ok(Value::Geom(alg::buffer::buffer_with_segments(g, d, quad)?))
             }
-            let g = geom_arg(&upper, args, 0)?;
-            let member = match g {
-                Geometry::MultiPoint(m) => m.0.get(n - 1).copied().map(Geometry::Point),
-                Geometry::MultiLineString(m) => m.0.get(n - 1).cloned().map(Geometry::LineString),
-                Geometry::MultiPolygon(m) => m.0.get(n - 1).cloned().map(Geometry::Polygon),
-                Geometry::GeometryCollection(c) => c.0.get(n - 1).cloned(),
-                single if n == 1 => Some(single.clone()),
-                _ => None,
-            };
-            Ok(member.map(Value::Geom).unwrap_or(Value::Null))
-        }
-        "ST_POINTONSURFACE" => match geom_arg(&upper, args, 0)? {
-            Geometry::Polygon(p) => {
-                Ok(Value::Geom(Geometry::Point(Point::from_coord(topo::interior_point(p))?)))
+            Builtin::ConvexHull => Ok(Value::Geom(alg::convex_hull(geom_arg(upper, args, 0)?)?)),
+            Builtin::Simplify => {
+                Ok(Value::Geom(alg::simplify(geom_arg(upper, args, 0)?, num_arg(upper, args, 1)?)?))
             }
-            Geometry::MultiPolygon(m) => match m.0.first() {
-                Some(p) => {
+            Builtin::Union => {
+                Ok(Value::Geom(alg::union(geom_arg(upper, args, 0)?, geom_arg(upper, args, 1)?)?))
+            }
+            Builtin::Intersection => Ok(Value::Geom(alg::intersection(
+                geom_arg(upper, args, 0)?,
+                geom_arg(upper, args, 1)?,
+            )?)),
+            Builtin::Difference => Ok(Value::Geom(alg::difference(
+                geom_arg(upper, args, 0)?,
+                geom_arg(upper, args, 1)?,
+            )?)),
+
+            // ----- accessors (structural) -----------------------------------------
+            Builtin::IsEmpty => Ok(bool_value(geom_arg(upper, args, 0)?.is_empty())),
+            Builtin::IsClosed => match geom_arg(upper, args, 0)? {
+                Geometry::LineString(l) => Ok(bool_value(l.is_closed())),
+                Geometry::MultiLineString(m) => {
+                    Ok(bool_value(!m.0.is_empty() && m.0.iter().all(LineString::is_closed)))
+                }
+                _ => Err(SqlError::Type(format!("{upper}: argument must be a line"))),
+            },
+            Builtin::StartPoint | Builtin::EndPoint => match geom_arg(upper, args, 0)? {
+                Geometry::LineString(l) => {
+                    let c = if self == Builtin::StartPoint { l.start() } else { l.end() };
+                    Ok(match c {
+                        Some(c) => Value::Geom(Geometry::Point(Point::from_coord(c)?)),
+                        None => Value::Null,
+                    })
+                }
+                _ => Err(SqlError::Type(format!("{upper}: argument must be a linestring"))),
+            },
+            Builtin::NumGeometries => {
+                let n = match geom_arg(upper, args, 0)? {
+                    Geometry::MultiPoint(m) => m.0.len(),
+                    Geometry::MultiLineString(m) => m.0.len(),
+                    Geometry::MultiPolygon(m) => m.0.len(),
+                    Geometry::GeometryCollection(c) => c.0.len(),
+                    _ => 1,
+                };
+                Ok(Value::Int(n as i64))
+            }
+            Builtin::GeometryN => {
+                let n = num_arg(upper, args, 1)? as usize;
+                if n < 1 {
+                    return Err(SqlError::Type("ST_GeometryN index starts at 1".into()));
+                }
+                let g = geom_arg(upper, args, 0)?;
+                let member = match g {
+                    Geometry::MultiPoint(m) => m.0.get(n - 1).copied().map(Geometry::Point),
+                    Geometry::MultiLineString(m) => {
+                        m.0.get(n - 1).cloned().map(Geometry::LineString)
+                    }
+                    Geometry::MultiPolygon(m) => m.0.get(n - 1).cloned().map(Geometry::Polygon),
+                    Geometry::GeometryCollection(c) => c.0.get(n - 1).cloned(),
+                    single if n == 1 => Some(single.clone()),
+                    _ => None,
+                };
+                Ok(member.map(Value::Geom).unwrap_or(Value::Null))
+            }
+            Builtin::PointOnSurface => match geom_arg(upper, args, 0)? {
+                Geometry::Polygon(p) => {
                     Ok(Value::Geom(Geometry::Point(Point::from_coord(topo::interior_point(p))?)))
                 }
-                None => Ok(Value::Null),
+                Geometry::MultiPolygon(m) => match m.0.first() {
+                    Some(p) => Ok(Value::Geom(Geometry::Point(Point::from_coord(
+                        topo::interior_point(p),
+                    )?))),
+                    None => Ok(Value::Null),
+                },
+                Geometry::Point(p) => Ok(Value::Geom(Geometry::Point(*p))),
+                other => Err(SqlError::Type(format!(
+                    "{upper}: unsupported argument type {:?}",
+                    other.geometry_type()
+                ))),
             },
-            Geometry::Point(p) => Ok(Value::Geom(Geometry::Point(*p))),
-            other => Err(SqlError::Type(format!(
-                "{upper}: unsupported argument type {:?}",
-                other.geometry_type()
-            ))),
-        },
 
-        // ----- binary serialization ---------------------------------------------
-        "ST_ASBINARY" => {
-            let bytes = jackpine_geom::wkb::encode(geom_arg(&upper, args, 0)?);
-            Ok(Value::Text(hex_encode(&bytes)))
-        }
-        "ST_GEOMFROMWKB" => {
-            let hex = text_arg(&upper, args, 0)?;
-            let bytes =
-                hex_decode(hex).ok_or_else(|| SqlError::Type("malformed hex WKB".into()))?;
-            Ok(Value::Geom(jackpine_geom::wkb::decode(&bytes)?))
-        }
-
-        // ----- affine editing --------------------------------------------------
-        "ST_TRANSLATE" => Ok(Value::Geom(alg::affine::translate(
-            geom_arg(&upper, args, 0)?,
-            num_arg(&upper, args, 1)?,
-            num_arg(&upper, args, 2)?,
-        )?)),
-        "ST_SCALE" => Ok(Value::Geom(alg::affine::scale(
-            geom_arg(&upper, args, 0)?,
-            num_arg(&upper, args, 1)?,
-            num_arg(&upper, args, 2)?,
-        )?)),
-        "ST_ROTATE" => {
-            let g = geom_arg(&upper, args, 0)?;
-            let angle = num_arg(&upper, args, 1)?;
-            let origin = match (args.get(2), args.get(3)) {
-                (Some(x), Some(y)) => jackpine_geom::Coord::new(
-                    x.as_f64()
-                        .ok_or_else(|| SqlError::Type("rotation origin must be numeric".into()))?,
-                    y.as_f64()
-                        .ok_or_else(|| SqlError::Type("rotation origin must be numeric".into()))?,
-                ),
-                _ => jackpine_geom::Coord::new(0.0, 0.0),
-            };
-            Ok(Value::Geom(alg::affine::rotate(g, angle, origin)?))
-        }
-
-        // ----- geodetic measures ---------------------------------------------
-        "ST_DISTANCESPHERE" => {
-            let d = alg::geodesic::distance_sphere(
-                geom_arg(&upper, args, 0)?,
-                geom_arg(&upper, args, 1)?,
-            );
-            Ok(if d.is_finite() { Value::Float(d) } else { Value::Null })
-        }
-        "ST_LENGTHSPHERE" => {
-            Ok(Value::Float(alg::geodesic::length_sphere(geom_arg(&upper, args, 0)?)))
-        }
-        "ST_AREASPHERE" => Ok(Value::Float(alg::geodesic::area_sphere(geom_arg(&upper, args, 0)?))),
-
-        // ----- metric predicates -------------------------------------------
-        "ST_DISTANCE" => {
-            let d = alg::distance(geom_arg(&upper, args, 0)?, geom_arg(&upper, args, 1)?);
-            Ok(if d.is_finite() { Value::Float(d) } else { Value::Null })
-        }
-        "ST_DWITHIN" => {
-            let d = alg::distance(geom_arg(&upper, args, 0)?, geom_arg(&upper, args, 1)?);
-            Ok(bool_value(d <= num_arg(&upper, args, 2)?))
-        }
-
-        // ----- topological predicates ---------------------------------------
-        "ST_EQUALS" | "ST_DISJOINT" | "ST_INTERSECTS" | "ST_TOUCHES" | "ST_CROSSES"
-        | "ST_WITHIN" | "ST_CONTAINS" | "ST_OVERLAPS" | "ST_COVERS" | "ST_COVEREDBY" => {
-            let a = geom_arg(&upper, args, 0)?;
-            let b = geom_arg(&upper, args, 1)?;
-            let v = match mode {
-                FunctionMode::Exact => exact_predicate(&upper, a, b)?,
-                FunctionMode::MbrOnly => mbr_predicate(&upper, &a.envelope(), &b.envelope()),
-            };
-            Ok(bool_value(v))
-        }
-        "ST_RELATE" => {
-            let a = geom_arg(&upper, args, 0)?;
-            let b = geom_arg(&upper, args, 1)?;
-            let m = topo::relate(a, b)?;
-            match args.get(2) {
-                Some(p) => {
-                    let pattern = p
-                        .as_str()
-                        .ok_or_else(|| SqlError::Type("relate pattern must be text".into()))?;
-                    Ok(bool_value(m.matches(pattern)?))
-                }
-                None => Ok(Value::Text(m.to_string())),
+            // ----- binary serialization ---------------------------------------------
+            Builtin::AsBinary => {
+                let bytes = jackpine_geom::wkb::encode(geom_arg(upper, args, 0)?);
+                Ok(Value::Text(hex_encode(&bytes)))
             }
+            Builtin::GeomFromWkb => {
+                let hex = text_arg(upper, args, 0)?;
+                let bytes =
+                    hex_decode(hex).ok_or_else(|| SqlError::Type("malformed hex WKB".into()))?;
+                Ok(Value::Geom(jackpine_geom::wkb::decode(&bytes)?))
+            }
+
+            // ----- affine editing --------------------------------------------------
+            Builtin::Translate => Ok(Value::Geom(alg::affine::translate(
+                geom_arg(upper, args, 0)?,
+                num_arg(upper, args, 1)?,
+                num_arg(upper, args, 2)?,
+            )?)),
+            Builtin::Scale => Ok(Value::Geom(alg::affine::scale(
+                geom_arg(upper, args, 0)?,
+                num_arg(upper, args, 1)?,
+                num_arg(upper, args, 2)?,
+            )?)),
+            Builtin::Rotate => {
+                let g = geom_arg(upper, args, 0)?;
+                let angle = num_arg(upper, args, 1)?;
+                let origin = match (args.get(2), args.get(3)) {
+                    (Some(x), Some(y)) => jackpine_geom::Coord::new(
+                        x.as_f64().ok_or_else(|| {
+                            SqlError::Type("rotation origin must be numeric".into())
+                        })?,
+                        y.as_f64().ok_or_else(|| {
+                            SqlError::Type("rotation origin must be numeric".into())
+                        })?,
+                    ),
+                    _ => jackpine_geom::Coord::new(0.0, 0.0),
+                };
+                Ok(Value::Geom(alg::affine::rotate(g, angle, origin)?))
+            }
+
+            // ----- geodetic measures ---------------------------------------------
+            Builtin::DistanceSphere => {
+                let d = alg::geodesic::distance_sphere(
+                    geom_arg(upper, args, 0)?,
+                    geom_arg(upper, args, 1)?,
+                );
+                Ok(if d.is_finite() { Value::Float(d) } else { Value::Null })
+            }
+            Builtin::LengthSphere => {
+                Ok(Value::Float(alg::geodesic::length_sphere(geom_arg(upper, args, 0)?)))
+            }
+            Builtin::AreaSphere => {
+                Ok(Value::Float(alg::geodesic::area_sphere(geom_arg(upper, args, 0)?)))
+            }
+
+            // ----- metric predicates -------------------------------------------
+            Builtin::Distance => {
+                let d = alg::distance(geom_arg(upper, args, 0)?, geom_arg(upper, args, 1)?);
+                Ok(if d.is_finite() { Value::Float(d) } else { Value::Null })
+            }
+            Builtin::DWithin => {
+                let d = alg::distance(geom_arg(upper, args, 0)?, geom_arg(upper, args, 1)?);
+                Ok(bool_value(d <= num_arg(upper, args, 2)?))
+            }
+
+            // ----- topological predicates ---------------------------------------
+            Builtin::Topo(kind) => {
+                let a = geom_arg(upper, args, 0)?;
+                let b = geom_arg(upper, args, 1)?;
+                let v = match mode {
+                    FunctionMode::Exact => exact_predicate(kind, a, b)?,
+                    FunctionMode::MbrOnly => mbr_predicate(kind, &a.envelope(), &b.envelope()),
+                };
+                Ok(bool_value(v))
+            }
+            Builtin::Relate => {
+                let a = geom_arg(upper, args, 0)?;
+                let b = geom_arg(upper, args, 1)?;
+                let m = topo::relate(a, b)?;
+                match args.get(2) {
+                    Some(p) => {
+                        let pattern = p
+                            .as_str()
+                            .ok_or_else(|| SqlError::Type("relate pattern must be text".into()))?;
+                        Ok(bool_value(m.matches(pattern)?))
+                    }
+                    None => Ok(Value::Text(m.to_string())),
+                }
+            }
+
+            // ----- explicit MBR predicates (available in every mode) ------------
+            Builtin::Mbr(kind) => {
+                let a = geom_arg(upper, args, 0)?.envelope();
+                let b = geom_arg(upper, args, 1)?.envelope();
+                Ok(bool_value(mbr_predicate(kind, &a, &b)))
+            }
+
+            // ----- scalar helpers ------------------------------------------------
+            Builtin::Abs => Ok(Value::Float(num_arg(upper, args, 0)?.abs())),
+            Builtin::Upper => Ok(Value::Text(text_arg(upper, args, 0)?.to_uppercase())),
+            Builtin::Lower => Ok(Value::Text(text_arg(upper, args, 0)?.to_lowercase())),
+            Builtin::CharLength => Ok(Value::Int(text_arg(upper, args, 0)?.chars().count() as i64)),
         }
-
-        // ----- explicit MBR predicates (available in every mode) ------------
-        "MBRINTERSECTS" | "MBRCONTAINS" | "MBRWITHIN" | "MBREQUALS" | "MBRDISJOINT"
-        | "MBROVERLAPS" | "MBRTOUCHES" => {
-            let a = geom_arg(&upper, args, 0)?.envelope();
-            let b = geom_arg(&upper, args, 1)?.envelope();
-            let name = upper.replace("MBR", "ST_");
-            Ok(bool_value(mbr_predicate(&name, &a, &b)))
-        }
-
-        // ----- scalar helpers ------------------------------------------------
-        "ABS" => Ok(Value::Float(num_arg(&upper, args, 0)?.abs())),
-        "UPPER" => Ok(Value::Text(text_arg(&upper, args, 0)?.to_uppercase())),
-        "LOWER" => Ok(Value::Text(text_arg(&upper, args, 0)?.to_lowercase())),
-        "CHAR_LENGTH" => Ok(Value::Int(text_arg(&upper, args, 0)?.chars().count() as i64)),
-
-        _ => Err(SqlError::Unresolved(format!("function {name}"))),
     }
 }
 
 /// Exact evaluation of a named predicate.
-fn exact_predicate(upper: &str, a: &Geometry, b: &Geometry) -> Result<bool> {
+fn exact_predicate(kind: PredicateKind, a: &Geometry, b: &Geometry) -> Result<bool> {
     // Envelope pre-filter: every predicate except Disjoint implies
     // envelope intersection, so a cheap reject avoids the full relate.
     let envs_intersect = a.envelope().intersects(&b.envelope());
-    Ok(match upper {
-        "ST_EQUALS" => envs_intersect && topo::equals(a, b)?,
-        "ST_DISJOINT" => !envs_intersect || topo::disjoint(a, b)?,
-        "ST_INTERSECTS" => envs_intersect && topo::intersects(a, b)?,
-        "ST_TOUCHES" => envs_intersect && topo::touches(a, b)?,
-        "ST_CROSSES" => envs_intersect && topo::crosses(a, b)?,
-        "ST_WITHIN" => envs_intersect && topo::within(a, b)?,
-        "ST_CONTAINS" => envs_intersect && topo::contains(a, b)?,
-        "ST_OVERLAPS" => envs_intersect && topo::overlaps(a, b)?,
-        "ST_COVERS" => envs_intersect && topo::covers(a, b)?,
-        "ST_COVEREDBY" => envs_intersect && topo::covered_by(a, b)?,
-        other => return Err(SqlError::Unresolved(format!("predicate {other}"))),
+    Ok(match kind {
+        PredicateKind::Equals => envs_intersect && topo::equals(a, b)?,
+        PredicateKind::Disjoint => !envs_intersect || topo::disjoint(a, b)?,
+        PredicateKind::Intersects => envs_intersect && topo::intersects(a, b)?,
+        PredicateKind::Touches => envs_intersect && topo::touches(a, b)?,
+        PredicateKind::Crosses => envs_intersect && topo::crosses(a, b)?,
+        PredicateKind::Within => envs_intersect && topo::within(a, b)?,
+        PredicateKind::Contains => envs_intersect && topo::contains(a, b)?,
+        PredicateKind::Overlaps => envs_intersect && topo::overlaps(a, b)?,
+        PredicateKind::Covers => envs_intersect && topo::covers(a, b)?,
+        PredicateKind::CoveredBy => envs_intersect && topo::covered_by(a, b)?,
     })
 }
 
 /// MBR-approximate evaluation of a named predicate (the MySQL-era
 /// semantics: correct for rectangles, a superset/approximation for real
 /// shapes).
-fn mbr_predicate(upper: &str, a: &Envelope, b: &Envelope) -> bool {
-    match upper {
-        "ST_EQUALS" => a == b,
-        "ST_DISJOINT" => !a.intersects(b),
-        "ST_INTERSECTS" => a.intersects(b),
-        "ST_WITHIN" => b.contains_envelope(a),
-        "ST_CONTAINS" => a.contains_envelope(b),
-        "ST_TOUCHES" => {
+fn mbr_predicate(kind: PredicateKind, a: &Envelope, b: &Envelope) -> bool {
+    match kind {
+        PredicateKind::Equals => a == b,
+        PredicateKind::Disjoint => !a.intersects(b),
+        PredicateKind::Intersects => a.intersects(b),
+        PredicateKind::Within => b.contains_envelope(a),
+        PredicateKind::Contains => a.contains_envelope(b),
+        PredicateKind::Touches => {
             // Rectangles touch when they meet only along their boundary.
             match a.intersection(b) {
                 Some(i) => i.area() == 0.0,
                 None => false,
             }
         }
-        "ST_OVERLAPS" | "ST_CROSSES" => {
+        PredicateKind::Overlaps | PredicateKind::Crosses => {
             // Interiors intersect, neither contains the other.
             match a.intersection(b) {
                 Some(i) => i.area() > 0.0 && !a.contains_envelope(b) && !b.contains_envelope(a),
                 None => false,
             }
         }
-        _ => false,
+        // Absent from the MBR-only profile and from the `MBR*` names.
+        PredicateKind::Covers | PredicateKind::CoveredBy => false,
     }
 }
 
@@ -406,21 +588,21 @@ fn bool_value(b: bool) -> Value {
     Value::Int(i64::from(b))
 }
 
-fn geom_arg<'a>(fname: &str, args: &'a [Value], i: usize) -> Result<&'a Geometry> {
+fn geom_arg<'a>(fname: &str, args: &'a [Cow<'_, Value>], i: usize) -> Result<&'a Geometry> {
     args.get(i)
-        .and_then(Value::as_geom)
+        .and_then(|v| v.as_geom())
         .ok_or_else(|| SqlError::Type(format!("{fname}: argument {i} must be a geometry")))
 }
 
-fn num_arg(fname: &str, args: &[Value], i: usize) -> Result<f64> {
+fn num_arg(fname: &str, args: &[Cow<'_, Value>], i: usize) -> Result<f64> {
     args.get(i)
-        .and_then(Value::as_f64)
+        .and_then(|v| v.as_f64())
         .ok_or_else(|| SqlError::Type(format!("{fname}: argument {i} must be numeric")))
 }
 
-fn text_arg<'a>(fname: &str, args: &'a [Value], i: usize) -> Result<&'a str> {
+fn text_arg<'a>(fname: &str, args: &'a [Cow<'_, Value>], i: usize) -> Result<&'a str> {
     args.get(i)
-        .and_then(Value::as_str)
+        .and_then(|v| v.as_str())
         .ok_or_else(|| SqlError::Type(format!("{fname}: argument {i} must be text")))
 }
 
@@ -441,7 +623,7 @@ fn hex_decode(s: &str) -> Option<Vec<u8>> {
 
 fn point_component(
     fname: &str,
-    args: &[Value],
+    args: &[Cow<'_, Value>],
     f: impl Fn(jackpine_geom::Coord) -> f64,
 ) -> Result<Value> {
     match geom_arg(fname, args, 0)? {

@@ -3,7 +3,7 @@
 //! (filter on the spatial index, refine with the exact predicate).
 
 use crate::ast::{BinOp, Expr, Select, SelectItem};
-use crate::functions::{is_indexable_predicate, FunctionMode};
+use crate::functions::{is_indexable_predicate, Function, FunctionMode};
 use crate::provider::{CatalogProvider, TableProvider};
 use crate::{Result, SqlError};
 use jackpine_storage::{DataType, Value};
@@ -34,8 +34,8 @@ pub enum BoundExpr {
     Column(usize),
     /// Function call.
     Func {
-        /// Function name.
-        name: String,
+        /// The function, resolved once at bind time.
+        func: Function,
         /// Bound arguments.
         args: Vec<BoundExpr>,
     },
@@ -226,10 +226,12 @@ struct BoundTable {
     geometry_cols: Vec<usize>,
 }
 
-/// The flat layout: qualified column names in tuple order.
+/// The flat layout: qualified column names in tuple order, plus the
+/// evaluation mode constant folding runs under.
 struct Layout {
     tables: Vec<BoundTable>,
     columns: Vec<(String, String)>, // (alias, column)
+    mode: FunctionMode,
 }
 
 impl Layout {
@@ -266,57 +268,41 @@ impl Layout {
 /// Binds `expr` against `layout`, folding constant subtrees.
 fn bind(expr: &Expr, layout: &Layout) -> Result<BoundExpr> {
     let bound = bind_raw(expr, layout)?;
-    Ok(fold_constants(bound))
+    Ok(fold_constants(bound, layout.mode))
 }
 
-/// Evaluates constant subexpressions once at plan time, so per-row
-/// evaluation never re-parses WKT literals or re-buffers constant
-/// geometries. Folding uses exact semantics; it never folds function
-/// calls whose availability depends on the engine profile, so the
-/// MBR-only profile still reports its missing functions at run time.
-fn fold_constants(e: BoundExpr) -> BoundExpr {
-    // Only fold cheap, profile-independent constructors; predicate and
-    // analysis calls are left for the evaluator, where the engine profile
-    // decides their semantics and availability.
-    const FOLDABLE: [&str; 4] = ["ST_GEOMFROMTEXT", "ST_POINT", "ST_MAKEPOINT", "ST_MAKEENVELOPE"];
-    match e {
-        BoundExpr::Func { name, args } => {
-            let args: Vec<BoundExpr> = args.into_iter().map(fold_constants).collect();
-            let folded = BoundExpr::Func { name: name.clone(), args };
-            if FOLDABLE.contains(&name.to_ascii_uppercase().as_str()) && folded.is_constant() {
-                if let BoundExpr::Func { name, args } = &folded {
-                    let vals: Option<Vec<Value>> = args
-                        .iter()
-                        .map(|a| match a {
-                            BoundExpr::Literal(v) => Some(v.clone()),
-                            _ => None,
-                        })
-                        .collect();
-                    if let Some(vals) = vals {
-                        if let Ok(v) = crate::functions::call(FunctionMode::Exact, name, &vals) {
-                            return BoundExpr::Literal(v);
-                        }
-                    }
-                }
-            }
-            folded
-        }
-        BoundExpr::Binary { op, left, right } => BoundExpr::Binary {
-            op,
-            left: Box::new(fold_constants(*left)),
-            right: Box::new(fold_constants(*right)),
+/// Replaces every constant subtree by the literal it evaluates to, so
+/// per-row evaluation never rebuilds a constant: not a negative
+/// coordinate, not a constructed envelope, not a parsed WKT literal.
+/// Folding calls the evaluator itself, in the statement's mode, so a
+/// folded literal is exactly what evaluation would have produced. A
+/// subtree whose evaluation fails — an unknown function, one the engine
+/// profile lacks, malformed WKT — stays unfolded and raises its error
+/// per row at run time, or not at all over an empty input.
+fn fold_constants(e: BoundExpr, mode: FunctionMode) -> BoundExpr {
+    let fold = |b: Box<BoundExpr>| Box::new(fold_constants(*b, mode));
+    let e = match e {
+        BoundExpr::Literal(_) | BoundExpr::Column(_) => return e,
+        BoundExpr::Func { func, args } => BoundExpr::Func {
+            func,
+            args: args.into_iter().map(|a| fold_constants(a, mode)).collect(),
         },
-        BoundExpr::Not(inner) => BoundExpr::Not(Box::new(fold_constants(*inner))),
-        BoundExpr::Neg(inner) => BoundExpr::Neg(Box::new(fold_constants(*inner))),
-        BoundExpr::Between { expr, lo, hi } => BoundExpr::Between {
-            expr: Box::new(fold_constants(*expr)),
-            lo: Box::new(fold_constants(*lo)),
-            hi: Box::new(fold_constants(*hi)),
-        },
-        BoundExpr::IsNull { expr, negated } => {
-            BoundExpr::IsNull { expr: Box::new(fold_constants(*expr)), negated }
+        BoundExpr::Binary { op, left, right } => {
+            BoundExpr::Binary { op, left: fold(left), right: fold(right) }
         }
-        other => other,
+        BoundExpr::Not(inner) => BoundExpr::Not(fold(inner)),
+        BoundExpr::Neg(inner) => BoundExpr::Neg(fold(inner)),
+        BoundExpr::Between { expr, lo, hi } => {
+            BoundExpr::Between { expr: fold(expr), lo: fold(lo), hi: fold(hi) }
+        }
+        BoundExpr::IsNull { expr, negated } => BoundExpr::IsNull { expr: fold(expr), negated },
+    };
+    if !e.is_constant() {
+        return e;
+    }
+    match crate::exec::eval_const(&e, mode) {
+        Ok(v) => BoundExpr::Literal(v.into_owned()),
+        Err(_) => e,
     }
 }
 
@@ -325,7 +311,7 @@ fn bind_raw(expr: &Expr, layout: &Layout) -> Result<BoundExpr> {
         Expr::Literal(v) => BoundExpr::Literal(v.clone()),
         Expr::Column { table, name } => BoundExpr::Column(layout.resolve(table.as_deref(), name)?),
         Expr::Func { name, args } => BoundExpr::Func {
-            name: name.clone(),
+            func: Function::resolve(name),
             args: args.iter().map(|a| bind_raw(a, layout)).collect::<Result<_>>()?,
         },
         Expr::Star => return Err(SqlError::Type("'*' is only valid inside COUNT(*)".into())),
@@ -408,7 +394,7 @@ pub fn plan_select(
     opts: &PlanOptions,
 ) -> Result<PlannedSelect> {
     // Resolve FROM tables and build the flat layout.
-    let mut layout = Layout { tables: Vec::new(), columns: Vec::new() };
+    let mut layout = Layout { tables: Vec::new(), columns: Vec::new(), mode: opts.mode };
     for tref in &select.from {
         let provider = catalog.table(&tref.table)?;
         let schema = provider.schema();
@@ -948,8 +934,82 @@ impl PlanNode {
 }
 
 /// Binds an expression against a bare `(alias, column)` list, for callers
-/// outside the `SELECT` planner (e.g. `DELETE` filter evaluation).
-pub fn bind_columns(columns: Vec<(String, String)>, expr: &Expr) -> Result<BoundExpr> {
-    let layout = Layout { tables: Vec::new(), columns };
+/// outside the `SELECT` planner (e.g. `DELETE` filter evaluation);
+/// constants fold under `mode`, the mode the expression will run in.
+pub fn bind_columns(
+    columns: Vec<(String, String)>,
+    expr: &Expr,
+    mode: FunctionMode,
+) -> Result<BoundExpr> {
+    let layout = Layout { tables: Vec::new(), columns, mode };
     bind(expr, &layout)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ast::Statement;
+
+    /// Binds the single select item of `SELECT <expr>` under `mode`.
+    fn bind_item(expr_sql: &str, mode: FunctionMode) -> BoundExpr {
+        let Statement::Select(select) =
+            crate::parser::parse(&format!("SELECT {expr_sql}")).unwrap()
+        else {
+            panic!("not a select");
+        };
+        let SelectItem::Expr { expr, .. } = &select.items[0] else {
+            panic!("not an expression item");
+        };
+        bind_columns(vec![("t".into(), "geom".into())], expr, mode).unwrap()
+    }
+
+    #[test]
+    fn negative_envelope_folds_to_a_literal() {
+        let e = bind_item("ST_MakeEnvelope(-106, 28, -105, 29)", FunctionMode::Exact);
+        let BoundExpr::Literal(Value::Geom(g)) = e else {
+            panic!("not folded: {e:?}");
+        };
+        let env = g.envelope();
+        assert_eq!([env.min_x, env.min_y, env.max_x, env.max_y], [-106.0, 28.0, -105.0, 29.0]);
+    }
+
+    #[test]
+    fn unary_minus_and_literal_arithmetic_fold() {
+        assert!(matches!(
+            bind_item("-(2 * 3) + 1", FunctionMode::Exact),
+            BoundExpr::Literal(Value::Int(-5))
+        ));
+        assert!(matches!(
+            bind_item("-(-9223372036854775807 - 1)", FunctionMode::Exact),
+            BoundExpr::Literal(Value::Int(i64::MIN))
+        ));
+        // Only the constant half of a column predicate folds.
+        let BoundExpr::Func { args, .. } =
+            bind_item("MBRIntersects(geom, ST_Point(-1, -2))", FunctionMode::Exact)
+        else {
+            panic!("call expected");
+        };
+        assert!(matches!(
+            args.as_slice(),
+            [BoundExpr::Column(0), BoundExpr::Literal(Value::Geom(_))]
+        ));
+    }
+
+    #[test]
+    fn failing_constants_stay_unfolded() {
+        for (sql, mode) in [
+            ("NoSuchFn(1)", FunctionMode::Exact),
+            ("ST_GeomFromText('not wkt')", FunctionMode::Exact),
+            ("ST_Buffer(ST_Point(0, 0), 1)", FunctionMode::MbrOnly),
+            ("-'text'", FunctionMode::Exact),
+        ] {
+            let e = bind_item(sql, mode);
+            assert!(!matches!(e, BoundExpr::Literal(_)), "{sql} folded to {e:?}");
+        }
+        // The exact profile has ST_Buffer, so there it folds.
+        assert!(matches!(
+            bind_item("ST_Buffer(ST_Point(0, 0), 1)", FunctionMode::Exact),
+            BoundExpr::Literal(Value::Geom(_))
+        ));
+    }
 }

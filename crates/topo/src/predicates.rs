@@ -33,26 +33,6 @@ pub enum PredicateKind {
     CoveredBy,
 }
 
-impl PredicateKind {
-    /// Map an upper-cased SQL function name (`ST_INTERSECTS`, …) to its
-    /// predicate kind. Returns `None` for non-topological functions.
-    pub fn from_sql_name(upper: &str) -> Option<PredicateKind> {
-        Some(match upper {
-            "ST_EQUALS" => PredicateKind::Equals,
-            "ST_DISJOINT" => PredicateKind::Disjoint,
-            "ST_INTERSECTS" => PredicateKind::Intersects,
-            "ST_TOUCHES" => PredicateKind::Touches,
-            "ST_CROSSES" => PredicateKind::Crosses,
-            "ST_WITHIN" => PredicateKind::Within,
-            "ST_CONTAINS" => PredicateKind::Contains,
-            "ST_OVERLAPS" => PredicateKind::Overlaps,
-            "ST_COVERS" => PredicateKind::Covers,
-            "ST_COVEREDBY" => PredicateKind::CoveredBy,
-            _ => return None,
-        })
-    }
-}
-
 /// Evaluate a named predicate against an already-computed DE-9IM matrix
 /// for operands of dimensions `da` × `db`. This is the single pattern
 /// table shared by the naive wrappers below and the prepared path, so

@@ -560,7 +560,10 @@ fn torn_or_flipped_wal_recovery_is_identical_through_a_tiny_pool() {
         assert!(db.pool_stats().evictions > 0, "two frames must evict across 60 padded rows");
         // Copy the durable pair while the engine is live — detaching
         // checkpoints, and the sweep needs the raw log.
-        (std::fs::read(src.join(SNAPSHOT_FILE)).unwrap(), std::fs::read(src.join(WAL_FILE)).unwrap())
+        (
+            std::fs::read(src.join(SNAPSHOT_FILE)).unwrap(),
+            std::fs::read(src.join(WAL_FILE)).unwrap(),
+        )
     };
     std::fs::remove_dir_all(&src).ok();
 

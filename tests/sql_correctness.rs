@@ -6,7 +6,7 @@ use jackpine::bench::load_dataset;
 use jackpine::datagen::{TigerConfig, TigerDataset};
 use jackpine::engine::{EngineProfile, SpatialDb};
 use jackpine::geom::algorithms as alg;
-use jackpine::geom::{wkt, Geometry};
+use jackpine::geom::{wkt, Envelope, Geometry};
 use jackpine::storage::Value;
 use jackpine::topo;
 use std::sync::Arc;
@@ -181,4 +181,109 @@ fn group_by_category_matches_brute_force() {
         r.rows.iter().map(|row| (row[0].to_string(), row[1].as_i64().expect("count"))).collect();
     let want: Vec<(String, i64)> = want.into_iter().map(|(k, v)| (k.to_string(), v)).collect();
     assert_eq!(got, want);
+}
+
+/// An envelope relation: `rel(row envelope, window)`.
+type EnvRel = fn(&Envelope, &Envelope) -> bool;
+
+/// Counts the `arealm` rows whose envelope stands in `rel` to `window`.
+fn brute_force_mbr(data: &TigerDataset, window: &Envelope, rel: EnvRel) -> i64 {
+    data.arealm.iter().filter(|a| rel(&a.geom.envelope(), window)).count() as i64
+}
+
+#[test]
+fn mbr_predicates_on_negative_envelopes_match_brute_force() {
+    let (data, db) = setup();
+    // Every longitude in the dataset is negative, so each envelope here
+    // is built from unary minus.
+    let window = Envelope::new(-102.0, 28.0, -97.0, 33.0);
+    let env = "ST_MakeEnvelope(-102, 28, -97, 33)";
+    let cases: [(&str, EnvRel); 3] = [
+        ("MBRIntersects", |g, w| g.intersects(w)),
+        ("MBRWithin", |g, w| w.contains_envelope(g)),
+        ("MBRContains", |g, w| g.contains_envelope(w)),
+    ];
+    for (name, rel) in cases {
+        let want = brute_force_mbr(&data, &window, rel);
+        let sql = format!("SELECT COUNT(*) FROM arealm WHERE {name}(geom, {env})");
+        assert_eq!(scalar_i64(&db, &sql), want, "{sql}");
+    }
+    assert!(brute_force_mbr(&data, &window, |g, w| g.intersects(w)) > 0);
+    // The constant on the left: MBRContains(env, geom) = MBRWithin(geom, env).
+    let want = brute_force_mbr(&data, &window, |g, w| w.contains_envelope(g));
+    let sql = format!("SELECT COUNT(*) FROM arealm WHERE MBRContains({env}, geom)");
+    assert_eq!(scalar_i64(&db, &sql), want);
+    // Literal arithmetic and a negated negative fold to the same window.
+    let want = brute_force_mbr(&data, &window, |g, w| g.intersects(w));
+    let sql = "SELECT COUNT(*) FROM arealm \
+               WHERE MBRIntersects(geom, ST_MakeEnvelope(-(100 + 2), 28, -(-(-97)), 30 + 3))";
+    assert_eq!(scalar_i64(&db, sql), want);
+}
+
+#[test]
+fn function_names_resolve_in_any_case() {
+    let (_, db) = setup();
+    let canonical = scalar_i64(
+        &db,
+        "SELECT COUNT(*) FROM arealm WHERE MBRIntersects(geom, ST_MakeEnvelope(-102, 28, -97, 33))",
+    );
+    for sql in [
+        "SELECT COUNT(*) FROM arealm WHERE mbrintersects(geom, st_makeenvelope(-102, 28, -97, 33))",
+        "SELECT COUNT(*) FROM arealm WHERE MbrInterSects(geom, St_MakeEnvelope(-102, 28, -97, 33))",
+    ] {
+        assert_eq!(scalar_i64(&db, sql), canonical, "{sql}");
+    }
+    let area = scalar_f64(&db, "SELECT SUM(ST_Area(geom)) FROM arealm");
+    assert_eq!(scalar_f64(&db, "SELECT SUM(st_area(geom)) FROM arealm"), area);
+    assert_eq!(scalar_f64(&db, "SELECT SUM(sT_aReA(geom)) FROM arealm"), area);
+}
+
+#[test]
+fn unknown_function_fails_only_when_evaluated() {
+    let (_, db) = setup();
+    db.execute("CREATE TABLE empty_t (id BIGINT, geom GEOMETRY)").expect("create");
+    // Over an empty input the call never runs, so the query succeeds.
+    let r = db.execute("SELECT COUNT(*) FROM empty_t WHERE NoSuchFn(geom)").expect("empty input");
+    assert_eq!(r.scalar(), Some(&Value::Int(0)));
+    assert!(db.execute("SELECT noSuchFn(geom) FROM empty_t").expect("empty input").is_empty());
+    // Over rows it fails with the name as written.
+    let err = db.execute("SELECT COUNT(*) FROM arealm WHERE NoSuchFn(geom)").unwrap_err();
+    assert_eq!(err.to_string(), "unresolved name: function NoSuchFn");
+    let err = db.execute("SELECT noSuchFn(geom) FROM arealm").unwrap_err();
+    assert_eq!(err.to_string(), "unresolved name: function noSuchFn");
+    // A constant call fails the same way.
+    let err = db.execute("SELECT NoSuchFn(1)").unwrap_err();
+    assert_eq!(err.to_string(), "unresolved name: function NoSuchFn");
+}
+
+#[test]
+fn mbr_only_profile_reports_missing_functions_when_evaluated() {
+    let data = TigerDataset::generate(&TigerConfig { seed: 31, scale: 0.03 });
+    let db = Arc::new(SpatialDb::new(EngineProfile::MbrOnly));
+    load_dataset(&db, &data).expect("load");
+    db.execute("CREATE TABLE empty_t (id BIGINT, geom GEOMETRY)").expect("create");
+    let want = db.execute("SELECT ST_Buffer(geom, 1) FROM arealm").unwrap_err().to_string();
+    assert!(want.contains("ST_Buffer"), "{want}");
+    for sql in [
+        "SELECT ST_Buffer(ST_Point(-100, 30), 1)",
+        "SELECT COUNT(*) FROM arealm WHERE ST_Area(ST_Buffer(geom, 1)) > 0",
+    ] {
+        assert_eq!(db.execute(sql).unwrap_err().to_string(), want, "{sql}");
+    }
+    assert!(db.execute("SELECT ST_Buffer(geom, 1) FROM empty_t").expect("empty input").is_empty());
+    // The exact profile has the function.
+    let (_, exact) = setup();
+    assert!(exact.execute("SELECT ST_Buffer(ST_Point(-100, 30), 1)").is_ok());
+}
+
+#[test]
+fn negating_i64_min_wraps() {
+    let (_, db) = setup();
+    let r = db.execute("SELECT -(-9223372036854775807 - 1)").expect("wrapping negation");
+    assert_eq!(r.scalar(), Some(&Value::Int(i64::MIN)));
+    // The same rule per row: the literal cannot fold through a column.
+    db.execute("CREATE TABLE ints (v BIGINT)").expect("create");
+    db.execute("INSERT INTO ints VALUES (-9223372036854775807)").expect("insert");
+    let r = db.execute("SELECT -(v - 1) FROM ints").expect("wrapping negation per row");
+    assert_eq!(r.scalar(), Some(&Value::Int(i64::MIN)));
 }
